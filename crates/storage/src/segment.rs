@@ -570,43 +570,78 @@ impl SegmentSource {
         }
     }
 
-    /// Binary search (v1) or early-exit walk (v2) for `object` in table
-    /// block `index`. A decode failure (a block mutated after open) is a
+    /// The table block that can hold `object`: the last one whose fence
+    /// (smallest id) is `<= object`. `None` below the first fence (or on an
+    /// empty segment), where the object cannot be present.
+    fn table_block_of(&self, object: u64) -> Option<usize> {
+        self.footer
+            .table_first_ids
+            .partition_point(|&first| first <= object)
+            .checked_sub(1)
+    }
+
+    /// Answers `probes` — `(object id, input position)` pairs, ascending,
+    /// every id routed to table block `index` — by writing each hit to
+    /// `out[position]`; absent ids leave their slot untouched. v1 binary
+    /// searches the fixed slots per probe. v2 walks the block's delta
+    /// chain **once**, as a merge against the ascending probe ids, and
+    /// stops at the entry that settles the last probe; duplicate ids all
+    /// get the hit. A decode failure (a block mutated after open) is a
     /// typed error, not a panic.
-    fn lookup_in_table(
+    fn probe_table_block(
         &self,
         block: &[u8],
         index: u64,
-        object: ObjectId,
-    ) -> Result<Option<Grade>, StorageError> {
+        probes: &[(u64, u32)],
+        out: &mut [Option<Grade>],
+    ) -> Result<(), StorageError> {
         let count = self.entries_in_block(index);
-        match &self.layout {
-            None => Ok(lookup_in_table_block(block, count, object)),
-            Some(layout) => {
-                // Ids are ascending, so the walk can stop at the first id
-                // past the probe. Grade bits are trusted for the same
-                // reason the v1 path trusts them: the block came through a
-                // checksum-verified load of bytes `open` validated.
-                let mut hit = None;
-                walk_block_v2(
-                    block,
-                    count,
-                    RegionKind::Table,
-                    layout.dict.as_deref(),
-                    |_, id, bits| {
-                        if id == object.0 {
-                            hit = Some(Grade::clamped(f64::from_bits(bits)));
-                        }
-                        id < object.0
-                    },
-                )
-                .map_err(|detail| StorageError::CorruptBlock {
-                    block: self.footer.data_blocks + index,
-                    detail,
-                })?;
-                Ok(hit)
+        let Some(layout) = &self.layout else {
+            for &(object, position) in probes {
+                out[position as usize] = lookup_in_table_block(block, count, ObjectId(object));
             }
-        }
+            return Ok(());
+        };
+        let Some(&(mut target, _)) = probes.first() else {
+            return Ok(());
+        };
+        // Grade bits are trusted for the same reason the v1 path trusts
+        // them: the block came through a checksum-verified load of bytes
+        // `open` validated.
+        let mut next = 0usize;
+        walk_block_v2(
+            block,
+            count,
+            RegionKind::Table,
+            layout.dict.as_deref(),
+            |_, id, bits| {
+                if id < target {
+                    return true;
+                }
+                // The walk reached or passed `target`: settle every probe
+                // up to `id` — hits (duplicates included) and the absent.
+                while let Some(&(object, position)) = probes.get(next) {
+                    if object > id {
+                        break;
+                    }
+                    if object == id {
+                        out[position as usize] = Some(Grade::clamped(f64::from_bits(bits)));
+                    }
+                    next += 1;
+                }
+                match probes.get(next) {
+                    Some(&(object, _)) => {
+                        target = object;
+                        true
+                    }
+                    None => false,
+                }
+            },
+        )
+        .map_err(|detail| StorageError::CorruptBlock {
+            block: self.footer.data_blocks + index,
+            detail,
+        })
     }
 
     /// Fallible core of [`GradedSource::sorted_access`].
@@ -649,6 +684,12 @@ impl SegmentSource {
 
     /// Fallible core of [`GradedSource::random_batch`]: on error the slice
     /// `out[base..]` may hold partial answers — the caller truncates.
+    ///
+    /// Probes are sorted by `(object id, input position)`. Fences ascend,
+    /// so that is also `(table block, object id, input position)` order:
+    /// each touched block's probes form one ascending run. Every run
+    /// fetches its block once and walks it once
+    /// ([`probe_table_block`](Self::probe_table_block)).
     fn random_batch_impl(
         &self,
         objects: &[ObjectId],
@@ -656,28 +697,35 @@ impl SegmentSource {
     ) -> Result<(), StorageError> {
         let base = out.len();
         out.resize(base + objects.len(), None);
+        let answers = &mut out[base..];
         let fences = &self.footer.table_first_ids;
-        // Pair each probe with its candidate table block; probes below the
-        // first fence have no candidate and stay `None`.
-        let mut probes: Vec<(u64, u32)> = Vec::with_capacity(objects.len());
-        for (position, object) in objects.iter().enumerate() {
-            let candidate = fences.partition_point(|&first| first <= object.0);
-            if candidate > 0 {
-                probes.push(((candidate - 1) as u64, position as u32));
-            }
-        }
-        // Group by block (stable within a block by input position).
+        // Probes below the first fence have no candidate block and stay
+        // `None`.
+        let Some(&first_fence) = fences.first() else {
+            return Ok(());
+        };
+        let mut probes: Vec<(u64, u32)> = objects
+            .iter()
+            .enumerate()
+            .filter(|(_, object)| object.0 >= first_fence)
+            .map(|(position, object)| (object.0, position as u32))
+            .collect();
         probes.sort_unstable();
-        let mut index = 0usize;
-        while index < probes.len() {
-            let block_index = probes[index].0;
+        let mut start = 0usize;
+        while start < probes.len() {
+            let block_index = self
+                .table_block_of(probes[start].0)
+                .expect("probe at or above the first fence");
+            let end = match fences.get(block_index + 1) {
+                Some(&next_fence) => {
+                    start + probes[start..].partition_point(|&(id, _)| id < next_fence)
+                }
+                None => probes.len(),
+            };
+            let block_index = block_index as u64;
             let block = self.try_table_block(block_index)?;
-            while index < probes.len() && probes[index].0 == block_index {
-                let position = probes[index].1 as usize;
-                out[base + position] =
-                    self.lookup_in_table(&block, block_index, objects[position])?;
-                index += 1;
-            }
+            self.probe_table_block(&block, block_index, &probes[start..end], answers)?;
+            start = end;
         }
         Ok(())
     }
@@ -785,26 +833,26 @@ impl GradedSource for SegmentSource {
             .unwrap_or_else(|e| self.infallible_panic(e))
     }
 
+    /// A one-probe call of the batched path: the fence index names the
+    /// only table block that can hold `object`, and that block is probed
+    /// exactly as a batch would probe it.
     fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        let fences = &self.footer.table_first_ids;
-        // The fence index names each table block's smallest id; the object,
-        // if present, can only live in the last block whose fence is <= it.
-        let candidate = fences.partition_point(|&first| first <= object.0);
-        if candidate == 0 {
-            return None;
-        }
-        let index = (candidate - 1) as u64;
+        let index = self.table_block_of(object.0)? as u64;
+        let mut answer = [None];
         self.try_table_block(index)
-            .and_then(|block| self.lookup_in_table(&block, index, object))
-            .unwrap_or_else(|e| self.infallible_panic(e))
+            .and_then(|block| self.probe_table_block(&block, index, &[(object.0, 0)], &mut answer))
+            .unwrap_or_else(|e| self.infallible_panic(e));
+        answer[0]
     }
 
     /// Native batched probing: probes are grouped by table block (sorted
-    /// by the footer's fence index), so each touched block is fetched from
-    /// the shared cache — and its checksum re-verified on a miss — **once
-    /// per batch**, not once per probe. Results land positionally aligned
-    /// with `objects`, and misses/duplicates behave exactly like the
-    /// per-object loop.
+    /// along the footer's fence index), so each touched block is fetched
+    /// from the shared cache — and its checksum re-verified on a miss —
+    /// **once per batch**, not once per probe. On v2 each touched block is
+    /// also **walked** once per batch: one pass over its delta chain
+    /// answers all of the block's probes, stopping at the last one.
+    /// Results land positionally aligned with `objects`, and
+    /// misses/duplicates behave exactly like the per-object loop.
     fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
         self.random_batch_impl(objects, out)
             .unwrap_or_else(|e| self.infallible_panic(e))

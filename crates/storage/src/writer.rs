@@ -2,15 +2,18 @@
 //!
 //! [`SegmentWriter`] takes one graded list and lays it down in the
 //! [`crate::format`] layout. Segments are written **atomically**: all bytes
-//! go to a `<name>.tmp` sibling first, the file is fsynced, then renamed
-//! over the final path (and the directory fsynced), so a crash mid-write
-//! can leave a stale temp file but never a half-written segment at the
-//! published name. Once published, a segment is never modified — updates
-//! are "write a new segment, swap the path", which is what makes the
-//! shared block cache trivially coherent.
+//! go to a uniquely named `<name>.<pid>-<n>.tmp` sibling first, the file
+//! is fsynced, then renamed over the final path (and the directory
+//! fsynced), so a crash mid-write can leave a stale temp file but never a
+//! half-written segment at the published name, and concurrent writes of
+//! one path never share a staging file: the last rename wins. Once
+//! published, a segment is never modified — updates are "write a new
+//! segment, swap the path", which is what makes the shared block cache
+//! trivially coherent.
 
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use garlic_agg::Grade;
@@ -389,9 +392,21 @@ impl Default for SegmentWriter {
     }
 }
 
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+/// Process-wide staging counter; with the pid it makes every staging name
+/// unique.
+static NEXT_STAGING: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh `<name>.<pid>-<n>.tmp` sibling of `path` to stage one write in.
+/// Unique per write, so concurrent publishes of one path cannot truncate
+/// or rename each other's staging file. The `.tmp` suffix is what manifest
+/// garbage collection recognises as debris.
+fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path.file_name().map(|n| n.to_owned()).unwrap_or_default();
-    name.push(".tmp");
+    name.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        NEXT_STAGING.fetch_add(1, Ordering::Relaxed)
+    ));
     path.with_file_name(name)
 }
 
@@ -470,6 +485,19 @@ mod tests {
         dir.join(name)
     }
 
+    /// Staging files of `path` still on disk: `<name>.*.tmp` siblings.
+    fn staging_debris(path: &Path) -> Vec<PathBuf> {
+        let prefix = format!("{}.", path.file_name().unwrap().to_str().unwrap());
+        fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap();
+                name.starts_with(&prefix) && name.ends_with(".tmp")
+            })
+            .collect()
+    }
+
     #[test]
     fn writes_expected_geometry() {
         let path = temp_path("geometry.seg");
@@ -538,7 +566,58 @@ mod tests {
         let path = temp_path("clean.seg");
         SegmentWriter::new().write_grades(&path, &[g(0.5)]).unwrap();
         assert!(path.exists());
-        assert!(!tmp_sibling(&path).exists());
+        assert_eq!(staging_debris(&path), Vec::<PathBuf>::new());
+    }
+
+    #[test]
+    fn staging_names_are_unique_and_end_in_tmp() {
+        let path = Path::new("dir/a.seg");
+        let (first, second) = (tmp_sibling(path), tmp_sibling(path));
+        assert_ne!(first, second);
+        for staged in [first, second] {
+            assert_eq!(staged.parent(), path.parent());
+            assert_eq!(staged.extension().unwrap(), "tmp");
+        }
+    }
+
+    /// Concurrent publishes of one path each stage in their own file, so
+    /// every write succeeds and the published segment is one writer's
+    /// complete list — whichever rename came last — never a mix, a torn
+    /// file, or a missing staging file.
+    #[test]
+    fn racing_writers_of_one_path_resolve_last_rename_wins() {
+        use crate::{BlockCache, SegmentSource};
+        use garlic_core::access::GradedSource;
+        const WRITERS: usize = 8;
+        const ROUNDS: usize = 4;
+        let path = temp_path("raced.seg");
+        // Writer `w` grades every object `w / WRITERS`, so the published
+        // file names its writer.
+        let lists: Vec<Vec<Grade>> = (0..WRITERS)
+            .map(|w| vec![g(w as f64 / WRITERS as f64); 500])
+            .collect();
+        let barrier = std::sync::Barrier::new(WRITERS);
+        std::thread::scope(|scope| {
+            for grades in &lists {
+                let (path, barrier) = (&path, &barrier);
+                scope.spawn(move || {
+                    let writer = SegmentWriter::with_block_size(64).unwrap();
+                    barrier.wait();
+                    for _ in 0..ROUNDS {
+                        writer.write_grades(path, grades).unwrap();
+                    }
+                });
+            }
+        });
+        let seg = SegmentSource::open(&path, Arc::new(BlockCache::new(8))).unwrap();
+        let published: Vec<Grade> = (0..500)
+            .map(|i| seg.random_access(ObjectId(i)).unwrap())
+            .collect();
+        assert!(
+            lists.contains(&published),
+            "the published segment is one writer's whole list"
+        );
+        assert_eq!(staging_debris(&path), Vec::<PathBuf>::new());
     }
 
     /// The RAII guard's real job: a build that *fails* must not leak its
@@ -566,7 +645,11 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, StorageError::Io(_)), "{name}: {err}");
             assert!(!path.exists(), "{name}: nothing published");
-            assert!(!tmp_sibling(&path).exists(), "{name}: tmp cleaned up");
+            assert_eq!(
+                staging_debris(&path),
+                Vec::<PathBuf>::new(),
+                "{name}: tmp cleaned up"
+            );
         }
     }
 
@@ -588,7 +671,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StorageError::Io(_)));
         assert!(!path.exists());
-        assert!(!tmp_sibling(&path).exists());
+        assert_eq!(staging_debris(&path), Vec::<PathBuf>::new());
     }
 
     #[test]

@@ -14,7 +14,9 @@ use garlic_agg::Grade;
 use garlic_core::access::{CountingSource, GradedSource, MemorySource, SetAccess, SortedCursor};
 use garlic_core::algorithms::fa::fagin_topk;
 use garlic_core::{GradedEntry, ObjectId};
-use garlic_storage::format::{FORMAT_V1, FORMAT_VERSION};
+use garlic_storage::format::{
+    FooterV2, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, GRADE_DICT_MAX,
+};
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
 use proptest::prelude::*;
 
@@ -48,6 +50,53 @@ fn block_size_strategy() -> impl Strategy<Value = usize> {
 /// Both on-disk format versions, so every property holds for each.
 fn version_strategy() -> impl Strategy<Value = u32> {
     prop_oneof![Just(FORMAT_V1), Just(FORMAT_VERSION)]
+}
+
+/// The table-block encodings a random probe can land in: v1 fixed slots,
+/// v2 with the grade dictionary, and v2 with delta-coded grade bits (more
+/// than [`GRADE_DICT_MAX`] distinct grades).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Encoding {
+    V1,
+    V2Dict,
+    V2Delta,
+}
+
+fn encoding_strategy() -> impl Strategy<Value = Encoding> {
+    prop_oneof![
+        Just(Encoding::V1),
+        Just(Encoding::V2Dict),
+        Just(Encoding::V2Delta)
+    ]
+}
+
+/// Probe lists as drawn (shuffled) or sorted descending; each drawn id
+/// repeats 1–3 times in a row, so runs of duplicates are common.
+fn probes_strategy() -> impl Strategy<Value = Vec<ObjectId>> {
+    (
+        proptest::collection::vec((0u64..220, 1usize..4), 0..40),
+        prop_oneof![Just(false), Just(true)],
+    )
+        .prop_map(|(runs, descending)| {
+            let mut probes: Vec<ObjectId> = runs
+                .into_iter()
+                .flat_map(|(id, run)| std::iter::repeat_n(ObjectId(id), run))
+                .collect();
+            if descending {
+                probes.sort_unstable_by(|a, b| b.cmp(a));
+            }
+            probes
+        })
+}
+
+/// Whether the v2 segment at `path` stores its grades as dictionary
+/// indices, read from the footer the trailer points at.
+fn has_grade_dict(path: &PathBuf) -> bool {
+    let bytes = std::fs::read(path).unwrap();
+    let word = |from: usize| u64::from_le_bytes(bytes[from..from + 8].try_into().unwrap()) as usize;
+    let (offset, len) = (word(bytes.len() - 24), word(bytes.len() - 16));
+    let footer = FooterV2::parse(&bytes[offset..offset + len]).unwrap();
+    footer.flags & FLAG_GRADE_DICT != 0
 }
 
 fn reopen(path: &PathBuf) -> SegmentSource {
@@ -120,28 +169,45 @@ proptest! {
     }
 
     /// Block-grouped batched random access is observably the per-object
-    /// loop: for arbitrary sparse probe sequences — duplicates, misses
-    /// below/between/above the fences — the segment's `random_batch`
-    /// answers exactly what `MemorySource` answers, positionally aligned,
-    /// with identical Section-5 random bills, and touches each candidate
-    /// table block at most once per batch.
+    /// loop: for arbitrary sparse probe sequences — shuffled or descending,
+    /// runs of duplicates, misses below/between/above the fences — over
+    /// every table-block encoding, the segment's `random_batch` answers
+    /// exactly what `MemorySource` answers, positionally aligned, with
+    /// identical Section-5 random bills, and touches each candidate table
+    /// block at most once per batch.
     #[test]
     fn segment_random_batch_matches_memory_and_bills_identically(
         pairs in pairs_strategy(),
         block_size in block_size_strategy(),
-        raw_probes in proptest::collection::vec(0u64..220, 0..80),
+        encoding in encoding_strategy(),
+        probes in probes_strategy(),
     ) {
+        let mut pairs = pairs;
+        if encoding == Encoding::V2Delta {
+            // One more distinct grade than the dictionary holds, on every
+            // other id from 200 up, so probes 200..220 hit and miss there.
+            pairs.extend((0..=GRADE_DICT_MAX as u64).map(|j| {
+                let grade = (j + 1) as f64 / (GRADE_DICT_MAX + 2) as f64;
+                (ObjectId(200 + 2 * j), Grade::clamped(grade))
+            }));
+        }
+        let version = if encoding == Encoding::V1 { FORMAT_V1 } else { FORMAT_VERSION };
         let path = case_path();
         SegmentWriter::with_block_size(block_size)
             .unwrap()
+            .with_version(version)
+            .unwrap()
             .write_pairs(&path, pairs.clone())
             .unwrap();
+        if encoding != Encoding::V1 {
+            let dict_expected = encoding == Encoding::V2Dict && !pairs.is_empty();
+            prop_assert_eq!(has_grade_dict(&path), dict_expected, "{:?}", encoding);
+        }
         let cache = Arc::new(BlockCache::new(64));
         let seg = CountingSource::new(
             SegmentSource::open(&path, Arc::clone(&cache)).unwrap(),
         );
         let mem = CountingSource::new(MemorySource::from_pairs(pairs));
-        let probes: Vec<ObjectId> = raw_probes.into_iter().map(ObjectId).collect();
 
         let mut from_seg = Vec::new();
         seg.random_batch(&probes, &mut from_seg);

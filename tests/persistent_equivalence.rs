@@ -5,10 +5,11 @@
 //! cold cache and thrashing cache. Durability must be invisible to the
 //! fusion layer.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use garlic::middleware::{Catalog, Garlic, GarlicQuery, GarlicService, Strategy};
+use garlic::storage::format::{FORMAT_V1, FORMAT_VERSION};
 use garlic::subsys::{DiskSubsystem, Target, VectorSubsystem};
 use garlic::{BlockCache, Grade, SegmentWriter};
 use rand::rngs::StdRng;
@@ -38,8 +39,13 @@ fn grade_lists() -> Vec<(&'static str, Vec<Grade>)> {
     ]
 }
 
-fn segment_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("garlic-persistent-eq-{}", std::process::id()));
+/// A fresh segment directory of the test named `test`, so tests running in
+/// parallel never write into each other's files.
+fn test_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join(format!("garlic-persistent-eq-{}", std::process::id()))
+        .join(test);
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -54,21 +60,21 @@ fn vector_garlic(lists: &[(&str, Vec<Grade>)]) -> Garlic {
     Garlic::new(cat)
 }
 
-/// Builds (or reuses) the segment files and opens a disk-backed Garlic
-/// over them with the given cache.
-fn disk_garlic(lists: &[(&str, Vec<Grade>)], cache: Arc<BlockCache>) -> Garlic {
-    disk_garlic_versioned(lists, cache, garlic::storage::format::FORMAT_VERSION, "")
+/// Writes the segment files into `dir` and opens a disk-backed Garlic over
+/// them with the given cache.
+fn disk_garlic(dir: &Path, lists: &[(&str, Vec<Grade>)], cache: Arc<BlockCache>) -> Garlic {
+    disk_garlic_versioned(dir, lists, cache, FORMAT_VERSION, "")
 }
 
 /// Like [`disk_garlic`], but pinning the segment format version (file
-/// names are tagged so v1 and v2 builds coexist in the shared directory).
+/// names are tagged so v1 and v2 builds coexist in one directory).
 fn disk_garlic_versioned(
+    dir: &Path,
     lists: &[(&str, Vec<Grade>)],
     cache: Arc<BlockCache>,
     version: u32,
     tag: &str,
 ) -> Garlic {
-    let dir = segment_dir();
     let writer = SegmentWriter::with_block_size(256)
         .unwrap()
         .with_version(version)
@@ -86,13 +92,12 @@ fn disk_garlic_versioned(
 
 /// A disk-backed Garlic whose every attribute is a 3-shard id-range
 /// partition of v2 segments, served through the scatter-gather merge.
-fn sharded_disk_garlic(lists: &[(&str, Vec<Grade>)], cache: Arc<BlockCache>) -> Garlic {
-    let dir = segment_dir();
+fn sharded_disk_garlic(dir: &Path, lists: &[(&str, Vec<Grade>)], cache: Arc<BlockCache>) -> Garlic {
     let writer = SegmentWriter::with_block_size(256).unwrap();
     let mut sub = DiskSubsystem::with_cache("segments", N, cache);
     for (attr, grades) in lists {
         let parts = writer
-            .write_sharded_grades(&dir, &format!("{attr}-sharded"), 3, grades)
+            .write_sharded_grades(dir, &format!("{attr}-sharded"), 3, grades)
             .unwrap();
         sub = sub
             .open_sharded_segment(attr, parts.iter().map(|p| &p.path))
@@ -126,9 +131,10 @@ fn strategy_queries() -> Vec<(GarlicQuery, Strategy)> {
 
 #[test]
 fn every_strategy_answers_identically_from_disk() {
+    let dir = test_dir("every_strategy_answers_identically_from_disk");
     let lists = grade_lists();
     let mem = vector_garlic(&lists);
-    let disk = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let disk = disk_garlic(&dir, &lists, Arc::new(BlockCache::new(1024)));
 
     for (query, expected_strategy) in strategy_queries() {
         for k in [1, 7, 50] {
@@ -157,20 +163,27 @@ fn every_strategy_answers_identically_from_disk() {
 
 #[test]
 fn format_versions_and_sharding_are_invisible_to_every_strategy() {
+    let dir = test_dir("format_versions_and_sharding_are_invisible_to_every_strategy");
     // v1 segments, v2 segments, and 3-shard v2 partitions must all answer
     // with memory's exact entries, tie order, and Section-5 bills — the
     // format migration and the scatter-gather are access-plan details.
-    use garlic::storage::format::{FORMAT_V1, FORMAT_VERSION};
     let lists = grade_lists();
     let mem = vector_garlic(&lists);
     let backends = [
         (
             "v1",
-            disk_garlic_versioned(&lists, Arc::new(BlockCache::new(1024)), FORMAT_V1, "-v1"),
+            disk_garlic_versioned(
+                &dir,
+                &lists,
+                Arc::new(BlockCache::new(1024)),
+                FORMAT_V1,
+                "-v1",
+            ),
         ),
         (
             "v2",
             disk_garlic_versioned(
+                &dir,
                 &lists,
                 Arc::new(BlockCache::new(1024)),
                 FORMAT_VERSION,
@@ -179,7 +192,7 @@ fn format_versions_and_sharding_are_invisible_to_every_strategy() {
         ),
         (
             "sharded-v2",
-            sharded_disk_garlic(&lists, Arc::new(BlockCache::new(1024))),
+            sharded_disk_garlic(&dir, &lists, Arc::new(BlockCache::new(1024))),
         ),
     ];
 
@@ -208,9 +221,10 @@ fn format_versions_and_sharding_are_invisible_to_every_strategy() {
 
 #[test]
 fn paged_sessions_answer_identically_from_disk() {
+    let dir = test_dir("paged_sessions_answer_identically_from_disk");
     let lists = grade_lists();
     let mem = vector_garlic(&lists);
-    let disk = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let disk = disk_garlic(&dir, &lists, Arc::new(BlockCache::new(1024)));
 
     let batches = [3usize, 1, 10, 25];
     for (query, _) in strategy_queries() {
@@ -226,12 +240,13 @@ fn paged_sessions_answer_identically_from_disk() {
 
 #[test]
 fn cold_and_thrashing_caches_are_invisible_in_answers() {
+    let dir = test_dir("cold_and_thrashing_caches_are_invisible_in_answers");
     let lists = grade_lists();
     let mem = vector_garlic(&lists);
     // A 2-block cache cannot even hold one region: every query runs under
     // constant eviction. A fresh Garlic per query set = fully cold opens.
     let tiny = Arc::new(BlockCache::new(2));
-    let disk = disk_garlic(&lists, Arc::clone(&tiny));
+    let disk = disk_garlic(&dir, &lists, Arc::clone(&tiny));
 
     for (query, _) in strategy_queries() {
         let from_mem = mem.top_k(&query, 20).unwrap();
@@ -246,6 +261,7 @@ fn cold_and_thrashing_caches_are_invisible_in_answers() {
 
 #[test]
 fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
+    let dir = test_dir("a_cold_reopened_service_pages_identically_to_a_warm_one");
     // "Resume from a cold cursor": a paging client notes how far it got,
     // the process restarts (new DiskSubsystem, new cache — nothing resident),
     // and the continued stream must match the uninterrupted one.
@@ -255,11 +271,11 @@ fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
         GarlicQuery::atom("B", Target::text("t")),
     );
 
-    let warm = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let warm = disk_garlic(&dir, &lists, Arc::new(BlockCache::new(1024)));
     let (reference, _) = warm.top_k_paged(&query, &[5, 5, 5, 5]).unwrap();
 
     // First "process": takes the first two pages.
-    let first = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let first = disk_garlic(&dir, &lists, Arc::new(BlockCache::new(1024)));
     let mut session = first.open_session(&query, 20).unwrap();
     let page0 = session.next_batch(5).unwrap();
     let page1 = session.next_batch(5).unwrap();
@@ -270,7 +286,7 @@ fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
     drop(first);
 
     // Second "process": cold reopen; skip to where the first got, continue.
-    let second = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let second = disk_garlic(&dir, &lists, Arc::new(BlockCache::new(1024)));
     let mut session = second.open_session(&query, 20).unwrap();
     let skipped = session.next_batch(resumed_at).unwrap();
     assert_eq!(skipped.len(), resumed_at);
@@ -290,9 +306,10 @@ fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
 
 #[test]
 fn concurrent_service_batches_answer_identically_from_disk() {
+    let dir = test_dir("concurrent_service_batches_answer_identically_from_disk");
     let lists = grade_lists();
     let mem_service = GarlicService::new(vector_garlic(&lists));
-    let disk_service = GarlicService::new(disk_garlic(&lists, Arc::new(BlockCache::new(64))));
+    let disk_service = GarlicService::new(disk_garlic(&dir, &lists, Arc::new(BlockCache::new(64))));
 
     let batch: Vec<(GarlicQuery, usize)> = strategy_queries()
         .into_iter()
@@ -310,8 +327,9 @@ fn concurrent_service_batches_answer_identically_from_disk() {
 
 #[test]
 fn catalogs_over_disk_subsystems_introspect_like_any_other() {
+    let dir = test_dir("catalogs_over_disk_subsystems_introspect_like_any_other");
     let lists = grade_lists();
-    let disk = disk_garlic(&lists, Arc::new(BlockCache::new(16)));
+    let disk = disk_garlic(&dir, &lists, Arc::new(BlockCache::new(16)));
     assert_eq!(disk.catalog().names(), vec!["segments".to_owned()]);
     assert_eq!(disk.catalog().len(), 1);
     assert!(!disk.catalog().is_empty());
